@@ -80,7 +80,7 @@ func main() {
 	flag.StringVar(&o.sloSpec, "slo", "", `per-verb latency objectives, e.g. "get=2ms@0.999,set=10ms@0.99"`)
 	flag.StringVar(&o.sloProfileDir, "slo-profile-dir", "", "capture CPU+mutex pprof profiles into this directory on sustained SLO burn")
 	lockProf := flag.Int("lock-profile", 0, "runtime mutex/block profiling rate for -metrics-addr pprof (0 disables)")
-	gogc := flag.Int("gogc", 400, "GC target percentage (SetGCPercent); 0 leaves the runtime default")
+	gogc := flag.Int("gogc", 0, "GC target percentage (SetGCPercent); 0 leaves the runtime default")
 	top := flag.Bool("top", false, "live dashboard: poll -metrics-addr's /metrics and render serving headlines in place (starts no server)")
 	topInterval := flag.Duration("top-interval", 2*time.Second, "dashboard poll interval for -top")
 	flag.Parse()
@@ -103,9 +103,9 @@ func main() {
 	}
 
 	if *gogc > 0 {
-		// A cache server's live heap is dominated by its fixed-size region
-		// buffers and index, so a high GC target trades bounded memory
-		// headroom for materially fewer collection cycles on the hot path.
+		// Off by default: the live heap is bounded by the simulated device
+		// (flash pages, BufferMemory per shard, index) and the payload path
+		// makes little garbage, so the runtime's own target suffices.
 		debug.SetGCPercent(*gogc)
 	}
 	if *lockProf > 0 {

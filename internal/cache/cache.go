@@ -233,7 +233,7 @@ type regionMeta struct {
 	flushDone time.Duration
 	openedAt  time.Duration
 	elem      *list.Element // position in eviction order (sealed/flushing)
-	buf       []byte        // non-nil while open/flushing and TrackValues
+	buf       []byte        // non-nil only while open/flushing and TrackValues
 	fails     int           // exhausted-retry failures; quarantine trigger
 }
 
@@ -283,6 +283,9 @@ type Cache struct {
 	// flush pipeline: regions written but not yet completed, oldest first
 	inflight    []int
 	maxInflight int
+	// spareBufs recycles region buffers: only the open region and the
+	// in-flight flushes hold one, so at most maxInflight+1 are ever live.
+	spareBufs [][]byte
 
 	// fillLog is a bounded ring over the most recent FillRecords (cap
 	// fillCap; unbounded when fillCap <= 0). fillStart is the ring's oldest
@@ -443,12 +446,25 @@ func (c *Cache) openRegion(id int) {
 	m.live = 0
 	m.openedAt = c.clock.Now()
 	m.elem = nil
-	if c.cfg.TrackValues {
-		if m.buf == nil {
+	if c.cfg.TrackValues && m.buf == nil {
+		if n := len(c.spareBufs); n > 0 {
+			m.buf = c.spareBufs[n-1]
+			c.spareBufs = c.spareBufs[:n-1]
+		} else {
 			m.buf = make([]byte, c.store.RegionSize())
 		}
 	}
 	c.open = id
+}
+
+// releaseBuf returns region id's buffer, if it holds one, to the spare list.
+// A region keeps its buffer only while open or flushing.
+func (c *Cache) releaseBuf(id int) {
+	m := &c.regions[id]
+	if m.buf != nil {
+		c.spareBufs = append(c.spareBufs, m.buf)
+		m.buf = nil
+	}
 }
 
 // Set inserts or replaces key with a value of length valLen. value may be
@@ -776,6 +792,7 @@ func (c *Cache) rollRegion() error {
 		// region returns to the free pool, or is quarantined once it has
 		// burned its failure budget.
 		c.dropRegionKeys(id)
+		c.releaseBuf(id)
 		if c.regionFailed(id) {
 			m.state = regionQuarantined
 			c.quarantines.Inc()
@@ -858,9 +875,7 @@ func (c *Cache) completeFlush(id int) {
 	if m.state == regionFlushing {
 		m.state = regionSealed
 	}
-	if !c.cfg.TrackValues {
-		m.buf = nil
-	}
+	c.releaseBuf(id)
 }
 
 // evictVictim drops the least-recently-used sealed region and returns its

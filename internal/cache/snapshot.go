@@ -229,6 +229,7 @@ func Restore(cfg Config, snapshot []byte) (*Cache, error) {
 	sizer, hasSizer := c.store.(regionSizer)
 	var repairedFree []int
 	for i := range c.regions {
+		c.releaseBuf(i) // New's open region; Restore reopens s.Open below
 		m := &c.regions[i]
 		src := s.Regions[i]
 		m.state = src.State

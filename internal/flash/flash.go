@@ -173,6 +173,9 @@ type blockMeta struct {
 	writeFront int // next programmable page (NAND in-block program order)
 	eraseCount uint32
 	valid      int // live page count, maintained for GC victim selection
+	// pages holds the payload of each stored page; nil until the block's
+	// first stored program, and nil entries read back as zeros.
+	pages [][]byte
 }
 
 // Array is a simulated NAND array. It is safe for concurrent use.
@@ -182,8 +185,11 @@ type Array struct {
 
 	mu        sync.Mutex
 	blocks    []blockMeta
-	data      map[int64][]byte // page index -> payload; nil when !storeData
 	storeData bool
+	// freePages recycles the payload buffers of erased pages, so steady
+	// state programs allocate nothing and payload memory tracks the
+	// high-water mark of programmed-but-unerased pages.
+	freePages [][]byte
 
 	dies     []sim.Busy // die-level service
 	channels []sim.Busy // bus-level transfer
@@ -198,6 +204,10 @@ type Array struct {
 // retained: correctness tests use true; large benchmarks use false, in
 // which case reads return zero-filled pages while all state transitions,
 // ordering rules, timing, and wear accounting remain exact.
+//
+// Payload memory is allocated lazily, one page buffer on a page's first
+// stored program, and an erased page's buffer is recycled for the next
+// program; nothing proportional to the raw capacity is allocated up front.
 func NewArray(geo Geometry, timing Timing, storeData bool) (*Array, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
@@ -209,9 +219,6 @@ func NewArray(geo Geometry, timing Timing, storeData bool) (*Array, error) {
 		dies:      make([]sim.Busy, geo.Dies()),
 		channels:  make([]sim.Busy, geo.Channels),
 		storeData: storeData,
-	}
-	if storeData {
-		a.data = make(map[int64][]byte)
 	}
 	for i := range a.blocks {
 		a.blocks[i].states = make([]PageState, geo.PagesPerBlock)
@@ -239,10 +246,6 @@ func (a *Array) checkAddr(addr Addr) error {
 		return fmt.Errorf("%w: %v", ErrOutOfRange, addr)
 	}
 	return nil
-}
-
-func (a *Array) pageIndex(addr Addr) int64 {
-	return int64(addr.Block)*int64(a.geo.PagesPerBlock) + int64(addr.Page)
 }
 
 // occupy reserves die + channel for one operation arriving at now with die
@@ -282,9 +285,10 @@ func (a *Array) Program(now time.Duration, addr Addr, data []byte) (time.Duratio
 	b.writeFront++
 	b.valid++
 	if a.storeData && data != nil {
-		buf := make([]byte, len(data))
-		copy(buf, data)
-		a.data[a.pageIndex(addr)] = buf
+		if b.pages == nil {
+			b.pages = make([][]byte, a.geo.PagesPerBlock)
+		}
+		b.pages[addr.Page] = append(a.takePageLocked(), data...)
 	}
 	a.mu.Unlock()
 
@@ -292,33 +296,46 @@ func (a *Array) Program(now time.Duration, addr Addr, data []byte) (time.Duratio
 	return a.occupy(now, addr.Block, a.timing.ProgPage), nil
 }
 
-// Read returns the page payload (zero-filled when payloads are not stored)
-// and the completion time. Reading a free page is an error: it means the
-// layer above lost track of its mapping.
-func (a *Array) Read(now time.Duration, addr Addr) (time.Duration, []byte, error) {
+// takePageLocked returns an empty page buffer with PageSize capacity,
+// recycled from an erased page when one is free.
+func (a *Array) takePageLocked() []byte {
+	if n := len(a.freePages); n > 0 {
+		buf := a.freePages[n-1]
+		a.freePages = a.freePages[:n-1]
+		return buf[:0]
+	}
+	return make([]byte, 0, a.geo.PageSize)
+}
+
+// Read copies the page payload into dst and returns the completion time.
+// dst must be exactly PageSize bytes; it is zero-filled when payloads are
+// not stored or the page was programmed metadata-only. A nil dst charges
+// the read's timing without copying anything. Reading a free page is an
+// error: it means the layer above lost track of its mapping.
+func (a *Array) Read(now time.Duration, addr Addr, dst []byte) (time.Duration, error) {
 	if err := a.checkAddr(addr); err != nil {
-		return now, nil, err
+		return now, err
+	}
+	if dst != nil && len(dst) != a.geo.PageSize {
+		return now, fmt.Errorf("%w: got %d want %d", ErrDataSize, len(dst), a.geo.PageSize)
 	}
 	a.mu.Lock()
 	b := &a.blocks[addr.Block]
 	if b.states[addr.Page] == PageFree {
 		a.mu.Unlock()
-		return now, nil, fmt.Errorf("%w: %v", ErrReadFree, addr)
+		return now, fmt.Errorf("%w: %v", ErrReadFree, addr)
 	}
-	var out []byte
-	if a.storeData {
-		if d, ok := a.data[a.pageIndex(addr)]; ok {
-			out = make([]byte, len(d))
-			copy(out, d)
+	if dst != nil {
+		if b.pages != nil && b.pages[addr.Page] != nil {
+			copy(dst, b.pages[addr.Page])
+		} else {
+			clear(dst)
 		}
 	}
 	a.mu.Unlock()
-	if out == nil {
-		out = make([]byte, a.geo.PageSize)
-	}
 
 	a.Reads.Inc()
-	return a.occupy(now, addr.Block, a.timing.ReadPage), out, nil
+	return a.occupy(now, addr.Block, a.timing.ReadPage), nil
 }
 
 // Invalidate marks a page dead (its logical data was overwritten or
@@ -346,8 +363,11 @@ func (a *Array) Erase(now time.Duration, block int) (time.Duration, error) {
 	b := &a.blocks[block]
 	for i := range b.states {
 		b.states[i] = PageFree
-		if a.storeData {
-			delete(a.data, a.pageIndex(Addr{Block: block, Page: i}))
+	}
+	for i, buf := range b.pages {
+		if buf != nil {
+			a.freePages = append(a.freePages, buf)
+			b.pages[i] = nil
 		}
 	}
 	b.writeFront = 0

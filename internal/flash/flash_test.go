@@ -63,7 +63,8 @@ func TestProgramReadRoundTrip(t *testing.T) {
 	if _, err := a.Program(0, Addr{Block: 3, Page: 0}, want); err != nil {
 		t.Fatalf("Program: %v", err)
 	}
-	_, got, err := a.Read(0, Addr{Block: 3, Page: 0})
+	got := make([]byte, 512)
+	_, err := a.Read(0, Addr{Block: 3, Page: 0}, got)
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
@@ -77,11 +78,12 @@ func TestMetadataOnlyReadsZeros(t *testing.T) {
 	if _, err := a.Program(0, Addr{Block: 0, Page: 0}, bytes.Repeat([]byte{1}, 512)); err != nil {
 		t.Fatalf("Program: %v", err)
 	}
-	_, got, err := a.Read(0, Addr{Block: 0, Page: 0})
+	got := bytes.Repeat([]byte{0xFF}, 512)
+	_, err := a.Read(0, Addr{Block: 0, Page: 0}, got)
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
-	if len(got) != 512 || !bytes.Equal(got, make([]byte, 512)) {
+	if !bytes.Equal(got, make([]byte, 512)) {
 		t.Fatal("metadata-only array should return zero-filled pages")
 	}
 }
@@ -91,12 +93,13 @@ func TestProgramNilDataAllowed(t *testing.T) {
 	if _, err := a.Program(0, Addr{}, nil); err != nil {
 		t.Fatalf("nil-data Program: %v", err)
 	}
-	_, got, err := a.Read(0, Addr{})
+	got := bytes.Repeat([]byte{0xFF}, 512)
+	_, err := a.Read(0, Addr{}, got)
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
-	if len(got) != 512 {
-		t.Fatalf("read returned %d bytes, want full page", len(got))
+	if !bytes.Equal(got, make([]byte, 512)) {
+		t.Fatal("nil-data page should read back zeros")
 	}
 }
 
@@ -118,7 +121,7 @@ func TestProgramTwiceRejected(t *testing.T) {
 
 func TestReadFreePageRejected(t *testing.T) {
 	a := newTestArray(t, true)
-	if _, _, err := a.Read(0, Addr{Block: 1, Page: 0}); !errors.Is(err, ErrReadFree) {
+	if _, err := a.Read(0, Addr{Block: 1, Page: 0}, nil); !errors.Is(err, ErrReadFree) {
 		t.Fatalf("read-free err = %v, want ErrReadFree", err)
 	}
 }
@@ -131,7 +134,7 @@ func TestReadInvalidPageAllowed(t *testing.T) {
 	if err := a.Invalidate(Addr{Block: 0, Page: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := a.Read(0, Addr{Block: 0, Page: 0}); err != nil {
+	if _, err := a.Read(0, Addr{Block: 0, Page: 0}, make([]byte, 512)); err != nil {
 		t.Fatalf("reading invalidated page: %v", err)
 	}
 }
@@ -148,7 +151,7 @@ func TestAddressRangeChecks(t *testing.T) {
 		if _, err := a.Program(0, addr, nil); !errors.Is(err, ErrOutOfRange) {
 			t.Errorf("Program(%v) err = %v, want ErrOutOfRange", addr, err)
 		}
-		if _, _, err := a.Read(0, addr); !errors.Is(err, ErrOutOfRange) {
+		if _, err := a.Read(0, addr, nil); !errors.Is(err, ErrOutOfRange) {
 			t.Errorf("Read(%v) err = %v, want ErrOutOfRange", addr, err)
 		}
 	}
@@ -246,7 +249,7 @@ func TestTimingMonotoneCompletion(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	a := newTestArray(t, true)
 	mustProgram(t, a, Addr{Block: 0, Page: 0})
-	a.Read(0, Addr{Block: 0, Page: 0})
+	a.Read(0, Addr{Block: 0, Page: 0}, nil)
 	a.Erase(0, 0)
 	if a.Programs.Load() != 1 || a.Reads.Load() != 1 || a.Erases.Load() != 1 {
 		t.Fatalf("counters = P%d R%d E%d, want 1/1/1",

@@ -552,10 +552,13 @@ func (l *Layer) collectLocked(now time.Duration) error {
 // pickVictimLocked chooses among finished zones: any zone at or below the
 // valid-ratio threshold, else the emptiest one.
 func (l *Layer) pickVictimLocked() (int, bool) {
+	// Ties break toward the lowest zone index: map iteration order is
+	// random per run, and letting it pick among equally valid zones makes
+	// same-seed runs diverge once GC starts.
 	best, bestValid := -1, l.regionsPerZone+1
 	for z := range l.full {
 		v := bits.OnesCount64(l.zones[z].bitmap)
-		if v < bestValid {
+		if v < bestValid || (v == bestValid && z < best) {
 			best, bestValid = z, v
 		}
 	}

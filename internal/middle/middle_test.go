@@ -16,7 +16,7 @@ const testRegion = 4 * device.SectorSize // 16 KiB regions
 
 // newZNS: 32 zones × 8 blocks × 16 pages × 4 KiB = 512 KiB zones, so 32
 // regions-per-zone... actually 512 KiB / 16 KiB = 32 regions per zone.
-func newZNS(t *testing.T, store bool) *zns.Device {
+func newZNS(t testing.TB, store bool) *zns.Device {
 	t.Helper()
 	d, err := zns.New(zns.Config{
 		Geometry: flash.Geometry{
@@ -34,7 +34,7 @@ func newZNS(t *testing.T, store bool) *zns.Device {
 	return d
 }
 
-func newLayer(t *testing.T, store bool, mutate ...func(*Config)) *Layer {
+func newLayer(t testing.TB, store bool, mutate ...func(*Config)) *Layer {
 	t.Helper()
 	cfg := Config{RegionSize: testRegion, OpenZones: 2, MinEmptyZones: 4}
 	for _, m := range mutate {

@@ -107,6 +107,7 @@ type SSD struct {
 	GCStalls *stats.Histogram // latency absorbed by host writes due to GC
 
 	lastWriteStall time.Duration // GC stall charged to the latest WriteAt
+	gcPage         []byte        // GC migration scratch page (StoreData only)
 }
 
 // New builds the SSD and formats it empty.
@@ -324,12 +325,11 @@ func (s *SSD) ReadAt(now time.Duration, p []byte, off int64) (time.Duration, err
 			}
 			continue
 		}
-		done, page, err := s.array.Read(now, s.addrOf(ppn))
+		done, err := s.array.Read(now, s.addrOf(ppn), dst)
 		if err != nil {
 			s.mu.Unlock()
 			return 0, fmt.Errorf("ssd: read: %w", err)
 		}
-		copy(dst, page)
 		if done > latest {
 			latest = done
 		}
@@ -409,6 +409,15 @@ func (s *SSD) migrateAndEraseLocked(now time.Duration, victim int) time.Duration
 	geo := s.cfg.Geometry
 	base := int64(victim) * int64(geo.PagesPerBlock)
 	latest := now
+	// Migrated payloads pass through one reused scratch page; without
+	// stored payloads the copy is timing only and programs metadata-only.
+	var page []byte
+	if s.cfg.StoreData {
+		if s.gcPage == nil {
+			s.gcPage = make([]byte, geo.PageSize)
+		}
+		page = s.gcPage
+	}
 	for p := 0; p < geo.PagesPerBlock; p++ {
 		oldPPN := base + int64(p)
 		lpn := s.p2l[oldPPN]
@@ -416,7 +425,7 @@ func (s *SSD) migrateAndEraseLocked(now time.Duration, victim int) time.Duration
 			continue
 		}
 		addr := flash.Addr{Block: victim, Page: p}
-		rDone, page, err := s.array.Read(now, addr)
+		rDone, err := s.array.Read(now, addr, page)
 		if err != nil {
 			panic(fmt.Sprintf("ssd: GC read of live page failed: %v", err))
 		}

@@ -242,6 +242,14 @@ func (w *zrwaWin) takeCommitted(k int64) [][]byte {
 	return out
 }
 
+// sectorsOf adapts per-sector payloads to programRange; nil stays nil.
+func sectorsOf(payloads [][]byte) func(i int64) []byte {
+	if payloads == nil {
+		return nil
+	}
+	return func(i int64) []byte { return payloads[i] }
+}
+
 // Device is a simulated ZNS SSD. Safe for concurrent use.
 type Device struct {
 	cfg      Config
@@ -445,18 +453,18 @@ func (d *Device) addrFor(z int, sector int64) flash.Addr {
 }
 
 // programRange programs count sectors of zone z starting at startSector.
-// payloads[i] is the content of sector startSector+i; a nil slice (or a nil
-// payloads when every sector is metadata-only) programs a zero page. Called
+// page(i) is the content of sector startSector+i; a nil result (or a nil
+// page when every sector is metadata-only) programs a zero page. Called
 // outside the device lock — the flash array does its own locking and the
 // range was reserved by the caller.
-func (d *Device) programRange(now time.Duration, z int, startSector, count int64, payloads [][]byte) (time.Duration, error) {
+func (d *Device) programRange(now time.Duration, z int, startSector, count int64, page func(i int64) []byte) (time.Duration, error) {
 	latest := now
 	tm := d.array.Timing()
 	nlanes := int64(len(d.lanes[z]))
 	for i := int64(0); i < count; i++ {
-		var page []byte
-		if payloads != nil {
-			page = payloads[i]
+		var data []byte
+		if page != nil {
+			data = page(i)
 		}
 		sector := startSector + i
 		// Per-zone bandwidth cap: each sector occupies one of the zone's
@@ -464,7 +472,7 @@ func (d *Device) programRange(now time.Duration, z int, startSector, count int64
 		// availability. The observed completion is the later of the two.
 		lane := &d.lanes[z][sector%nlanes]
 		_, laneDone := lane.Acquire(now, tm.ProgPage+tm.Transfer)
-		done, err := d.array.Program(now, d.addrFor(z, sector), page)
+		done, err := d.array.Program(now, d.addrFor(z, sector), data)
 		if err != nil {
 			return 0, fmt.Errorf("zns: program: %w", err)
 		}
@@ -595,7 +603,7 @@ func (d *Device) Write(now time.Duration, data []byte, n int, off int64) (time.D
 	// Commit the buffered prefix, then the committed part of the incoming
 	// data.
 	if len(fromWin) > 0 {
-		done, err := d.programRange(now, z, wp, int64(len(fromWin)), fromWin)
+		done, err := d.programRange(now, z, wp, int64(len(fromWin)), sectorsOf(fromWin))
 		if err != nil {
 			return 0, err
 		}
@@ -604,14 +612,11 @@ func (d *Device) Write(now time.Duration, data []byte, n int, off int64) (time.D
 		}
 	}
 	if newWP > a {
-		var payloads [][]byte
+		var page func(i int64) []byte
 		if data != nil {
-			payloads = make([][]byte, 0, newWP-a)
-			for s := a; s < newWP; s++ {
-				payloads = append(payloads, data[(s-a)*device.SectorSize:(s-a+1)*device.SectorSize])
-			}
+			page = func(i int64) []byte { return data[i*device.SectorSize : (i+1)*device.SectorSize] }
 		}
-		done, err := d.programRange(now, z, a, newWP-a, payloads)
+		done, err := d.programRange(now, z, a, newWP-a, page)
 		if err != nil {
 			return 0, err
 		}
@@ -697,7 +702,7 @@ func (d *Device) CommitZRWA(now time.Duration, z int, upTo int64) (time.Duration
 	}
 	d.mu.Unlock()
 
-	latest, err := d.programRange(now, z, wp, target-wp, payloads)
+	latest, err := d.programRange(now, z, wp, target-wp, sectorsOf(payloads))
 	if err != nil {
 		return 0, err
 	}
@@ -804,11 +809,10 @@ func (d *Device) Read(now time.Duration, p []byte, off int64) (time.Duration, er
 	}
 	latest := now
 	for s := aSec; s < flashEnd; s++ {
-		done, page, err := d.array.Read(now, d.addrFor(z, s))
+		done, err := d.array.Read(now, d.addrFor(z, s), p[(s-aSec)*device.SectorSize:(s-aSec+1)*device.SectorSize])
 		if err != nil {
 			return 0, fmt.Errorf("zns: read: %w", err)
 		}
-		copy(p[(s-aSec)*device.SectorSize:(s-aSec+1)*device.SectorSize], page)
 		if done > latest {
 			latest = done
 		}
@@ -894,7 +898,7 @@ func (d *Device) Finish(now time.Duration, z int) (time.Duration, error) {
 
 	latest := now
 	if fill > 0 {
-		done, err := d.programRange(now, z, start, fill, payloads)
+		done, err := d.programRange(now, z, start, fill, sectorsOf(payloads))
 		if err != nil {
 			return 0, fmt.Errorf("zns: finish fill: %w", err)
 		}
