@@ -41,7 +41,7 @@ func ExampleCache_SetWithTTL() {
 	fmt.Println("before expiry:", ok)
 
 	// Advance simulated time past the TTL (no real sleeping).
-	c.Rig().Clock.Advance(time.Minute)
+	c.Rig(0).Clock.Advance(time.Minute)
 	_, ok, _ = c.Get("session")
 	fmt.Println("after expiry:", ok)
 	// Output:

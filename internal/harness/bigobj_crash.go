@@ -152,11 +152,7 @@ func RunBigObjCrash(p BigObjCrashParams) (*BigObjCrashReport, error) {
 
 	// The process dies; restore over the surviving device state.
 	rig.Faults.Revive()
-	restored, err := cache.Restore(cache.Config{
-		Store:       rig.Store,
-		TrackValues: true,
-		Clock:       rig.Clock,
-	}, snap)
+	restored, err := cache.Restore(rig.EngineConfig(), snap)
 	if err != nil {
 		return nil, fmt.Errorf("harness: bigobj restore: %w", err)
 	}

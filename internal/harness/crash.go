@@ -202,12 +202,9 @@ func RunCrash(p CrashParams) (*CrashReport, error) {
 		}
 		snap = mutated
 	}
-	restored, err := cache.Restore(cache.Config{
-		Store:        rig.Store,
-		TrackValues:  true,
-		Clock:        rig.Clock,
-		SkipChecksum: p.CorruptSnapshot,
-	}, snap)
+	cc := rig.EngineConfig()
+	cc.SkipChecksum = p.CorruptSnapshot
+	restored, err := cache.Restore(cc, snap)
 	if err != nil {
 		return nil, fmt.Errorf("harness: restore: %w", err)
 	}

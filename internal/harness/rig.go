@@ -236,7 +236,14 @@ type Rig struct {
 	Faults     *fault.Injector
 	FaultZoned *fault.ZonedDevice
 	FaultBlock *fault.BlockDevice
+
+	engineCfg cache.Config // see EngineConfig
 }
+
+// EngineConfig returns the configuration Build made the engine from. Restore
+// paths rebuild the engine from it, so a recovered engine keeps the rig's
+// buffer budget, admission wiring and tracer; callers adjust their own copy.
+func (r *Rig) EngineConfig() cache.Config { return r.engineCfg }
 
 // Process-wide observability hooks. The bench binaries install a registry
 // (and optionally a tracer) once at startup; every rig Build() assembles
@@ -461,7 +468,7 @@ func Build(cfg RigConfig) (*Rig, error) {
 		f.BytesWritten = rig.DeviceWriteBytes
 		cfg.AdmissionFactory = f
 	}
-	eng, err := cache.New(cache.Config{
+	rig.engineCfg = cache.Config{
 		Store:            st,
 		Policy:           cfg.Policy,
 		Admission:        cfg.Admission,
@@ -474,7 +481,8 @@ func Build(cfg RigConfig) (*Rig, error) {
 		Clock:            cfg.Clock,
 		Trace:            cfg.Trace,
 		Spans:            cfg.Spans,
-	})
+	}
+	eng, err := cache.New(rig.engineCfg)
 	if err != nil {
 		return nil, fmt.Errorf("harness: engine: %w", err)
 	}

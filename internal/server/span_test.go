@@ -71,6 +71,12 @@ func TestForcedSlowRequestExemplar(t *testing.T) {
 	if _, err := cl.Set("hotkey", 0, 0, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
+	// The exemplar is recorded after the reply is written, so the client can
+	// read the reply first. The connection's goroutine serves batches in
+	// order: once a second reply arrives, the first batch has settled.
+	if _, err := cl.Version(); err != nil {
+		t.Fatal(err)
+	}
 
 	if rec.SlowTotal() == 0 {
 		t.Fatal("no exemplar recorded with a 1ns threshold")

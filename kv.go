@@ -61,7 +61,9 @@ func OpenKV(cfg KVConfig) (*KV, error) {
 		if err != nil {
 			return nil, err
 		}
-		kv.cache = &Cache{rig: rig}
+		if kv.cache, err = newSharded([]*harness.Rig{rig}); err != nil {
+			return nil, err
+		}
 		kv.sec = &harness.EngineSecondary{Engine: rig.Engine}
 		lcfg.Secondary = kv.sec
 		lcfg.Clock = rig.Clock

@@ -30,9 +30,6 @@ type ShardedConfig struct {
 type ShardedCache struct {
 	sh   *cache.Sharded
 	rigs []*harness.Rig
-	// cfg is retained so Reopen can rebuild per-shard engines with the same
-	// policy, value tracking, and admission seeds.
-	cfg ShardedConfig
 	// snaps holds the per-shard recovery snapshots captured by Close.
 	snaps [][]byte
 	// closed is atomic because the network serving layer checks it from
@@ -63,27 +60,34 @@ func OpenSharded(cfg ShardedConfig) (*ShardedCache, error) {
 		shardCfg.CacheBytes = cfg.CacheBytes / int64(cfg.Shards)
 	}
 
-	c := &ShardedCache{rigs: make([]*harness.Rig, cfg.Shards), cfg: cfg}
-	engines := make([]*cache.Cache, cfg.Shards)
-	for i := range engines {
+	rigs := make([]*harness.Rig, cfg.Shards)
+	for i := range rigs {
 		// Each shard's admission policy instance is built by the shared
 		// factory with a shard-decorrelated seed: independent instances fix
 		// the cross-shard data race, the derived seeds keep replays
 		// deterministic per shard.
 		shardCfg.AdmissionSeed = cache.ShardSeed(cfg.AdmissionSeed, i)
-		single, err := Open(shardCfg)
+		rig, err := buildRig(shardCfg)
 		if err != nil {
 			return nil, fmt.Errorf("znscache: shard %d: %w", i, err)
 		}
-		c.rigs[i] = single.rig
-		engines[i] = single.rig.Engine
+		rigs[i] = rig
+	}
+	return newSharded(rigs)
+}
+
+// newSharded fronts one engine per rig with the concurrent facade. Every
+// constructor (Open, OpenSharded, Reopen, OpenKV) ends here.
+func newSharded(rigs []*harness.Rig) (*ShardedCache, error) {
+	engines := make([]*cache.Cache, len(rigs))
+	for i, rig := range rigs {
+		engines[i] = rig.Engine
 	}
 	sh, err := cache.NewSharded(engines)
 	if err != nil {
 		return nil, err
 	}
-	c.sh = sh
-	return c, nil
+	return &ShardedCache{sh: sh, rigs: rigs}, nil
 }
 
 // NumShards returns the shard count.
@@ -262,38 +266,15 @@ func (c *ShardedCache) Reopen() (*ShardedCache, error) {
 	if c.snaps == nil {
 		return nil, fmt.Errorf("znscache: no snapshots to reopen from (Close failed?)")
 	}
-	nc := &ShardedCache{rigs: c.rigs, cfg: c.cfg}
-	engines := make([]*cache.Cache, len(c.rigs))
 	for i, rig := range c.rigs {
-		cc := cache.Config{
-			Store:        rig.Store,
-			Clock:        rig.Clock,
-			TrackValues:  c.cfg.TrackValues,
-			ReadIndex:    c.cfg.FastReads,
-			ReinsertHits: c.cfg.ReinsertHits,
-			Spans:        c.cfg.Spans,
-		}
-		// Mirror harness.Build's policy defaulting: the Navy-faithful FIFO
-		// unless the configuration explicitly chose one.
-		cc.Policy = cache.FIFO
-		if c.cfg.PolicySet {
-			cc.Policy = c.cfg.Policy
-		}
-		if c.cfg.Admission != nil {
-			cc.AdmissionFactory = c.cfg.Admission
-			cc.AdmissionSeed = cache.ShardSeed(c.cfg.AdmissionSeed, i)
-		}
-		eng, err := cache.Restore(cc, c.snaps[i])
+		// The engine Build made is rebuilt from its own configuration, so
+		// the successor keeps the buffer budget, admission wiring (seed and
+		// device byte counter) and tracer of the original.
+		eng, err := cache.Restore(rig.EngineConfig(), c.snaps[i])
 		if err != nil {
 			return nil, fmt.Errorf("znscache: shard %d reopen: %w", i, err)
 		}
 		rig.Engine = eng
-		engines[i] = eng
 	}
-	sh, err := cache.NewSharded(engines)
-	if err != nil {
-		return nil, err
-	}
-	nc.sh = sh
-	return nc, nil
+	return newSharded(c.rigs)
 }

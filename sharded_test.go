@@ -192,15 +192,31 @@ func TestShardedContainsTTLExpiry(t *testing.T) {
 
 // TestShardedCloseReopen is the warm-roll contract: Close snapshots every
 // shard, Reopen rebuilds the engines over the same simulated devices, and
-// the reopened cache serves the pre-shutdown contents.
+// the reopened cache serves the pre-shutdown contents. Open's one-shard
+// cache keeps the same contract.
 func TestShardedCloseReopen(t *testing.T) {
-	c, err := OpenSharded(ShardedConfig{
-		Config: Config{Zones: 8, TrackValues: true},
-		Shards: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		open func() (*ShardedCache, error)
+	}{
+		{"two-shards", func() (*ShardedCache, error) {
+			return OpenSharded(ShardedConfig{Config: Config{Zones: 8, TrackValues: true}, Shards: 2})
+		}},
+		{"open", func() (*ShardedCache, error) {
+			return Open(Config{Zones: 8, TrackValues: true})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := tc.open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			testCloseReopen(t, c)
+		})
 	}
+}
+
+func testCloseReopen(t *testing.T, c *ShardedCache) {
 	const keys = 64
 	for i := 0; i < keys; i++ {
 		k := fmt.Sprintf("persist:%03d", i)
@@ -220,8 +236,8 @@ func TestShardedCloseReopen(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if got := len(c.Snapshots()); got != 2 {
-		t.Fatalf("Snapshots count = %d, want 2", got)
+	if got := len(c.Snapshots()); got != c.NumShards() {
+		t.Fatalf("Snapshots count = %d, want %d", got, c.NumShards())
 	}
 	if err := c.Set("late", []byte("x")); err != ErrClosed {
 		t.Fatalf("Set after Close = %v, want ErrClosed", err)
@@ -261,6 +277,42 @@ func TestShardedCloseReopen(t *testing.T) {
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReopenKeepsBuildEngineConfig checks that Reopen rebuilds each engine
+// from the configuration Build made it from rather than the engine
+// defaults: the reopened engine keeps Build's region-buffer budget, so a
+// burst of sets fills exactly as many buffers before it would stall on the
+// flush pipeline as the fresh engine did.
+func TestReopenKeepsBuildEngineConfig(t *testing.T) {
+	setsUntilStall := func(c *ShardedCache, prefix string) int {
+		eng := c.Rig(0).Engine
+		n := 0
+		for ; n < 10_000 && !eng.WouldBlock(16, 64<<10); n++ {
+			if err := c.SetSized(fmt.Sprintf("%s:%05d", prefix, n), 64<<10); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return n
+	}
+	for _, s := range []Scheme{RegionCache, BlockCache} {
+		c, err := OpenSharded(ShardedConfig{Config: Config{Scheme: s, Zones: 24}, Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := setsUntilStall(c, "fresh")
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := c.Reopen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := setsUntilStall(r, "reopened"); got != fresh {
+			t.Fatalf("%v: reopened engine buffered %d sets before stalling, fresh engine %d",
+				s, got, fresh)
+		}
 	}
 }
 

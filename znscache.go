@@ -137,13 +137,9 @@ var (
 	ErrClosed = errors.New("znscache: cache closed")
 )
 
-// Cache is a persistent cache instance over a simulated device stack.
-// Methods are not safe for concurrent use: the simulation is driven
-// single-threaded for determinism.
-type Cache struct {
-	rig    *harness.Rig
-	closed bool
-}
+// Cache is the name Open returns the facade under: a one-shard
+// ShardedCache, safe for concurrent use, with Close/Reopen warm rolls.
+type Cache = ShardedCache
 
 // Stats is a point-in-time summary of cache and device behaviour.
 type Stats struct {
@@ -168,11 +164,19 @@ type Stats struct {
 	SimulatedTime time.Duration
 }
 
-// Open builds a cache per cfg.
+// Open builds a single-engine cache per cfg (default 25 zones, CacheBytes
+// at 80% of the device). It is OpenSharded with one shard, so the admission
+// policy is seeded with cache.ShardSeed(cfg.AdmissionSeed, 0).
 func Open(cfg Config) (*Cache, error) {
 	if cfg.Zones == 0 {
 		cfg.Zones = 25
 	}
+	return OpenSharded(ShardedConfig{Config: cfg, Shards: 1})
+}
+
+// buildRig assembles one engine's device stack per cfg (cfg.Zones must be
+// set; CacheBytes defaults to 80% of the device).
+func buildRig(cfg Config) (*harness.Rig, error) {
 	hw := harness.DefaultHW(cfg.Zones)
 	if cfg.ZoneMiB != 0 {
 		hw.BlocksPerZone = cfg.ZoneMiB // 1 MiB blocks
@@ -199,98 +203,5 @@ func Open(cfg Config) (*Cache, error) {
 	if cfg.Scheme == ZoneCache {
 		rc.ZoneCount = int(cfg.CacheBytes / hw.ZoneBytes())
 	}
-	rig, err := harness.Build(rc)
-	if err != nil {
-		return nil, err
-	}
-	return &Cache{rig: rig}, nil
-}
-
-// Set inserts or replaces key with value.
-func (c *Cache) Set(key string, value []byte) error {
-	if c.closed {
-		return ErrClosed
-	}
-	return c.rig.Engine.Set(key, value, 0)
-}
-
-// SetSized inserts or replaces key with a metadata-only value of n bytes
-// (used when TrackValues is off).
-func (c *Cache) SetSized(key string, n int) error {
-	if c.closed {
-		return ErrClosed
-	}
-	return c.rig.Engine.Set(key, nil, n)
-}
-
-// SetWithTTL inserts key with a time-to-live measured on the simulated
-// clock; after ttl the item answers Get as a miss.
-func (c *Cache) SetWithTTL(key string, value []byte, ttl time.Duration) error {
-	if c.closed {
-		return ErrClosed
-	}
-	return c.rig.Engine.SetTTL(key, value, 0, ttl)
-}
-
-// Get returns the value for key. With TrackValues off, the returned slice
-// is nil even on a hit.
-func (c *Cache) Get(key string) ([]byte, bool, error) {
-	if c.closed {
-		return nil, false, ErrClosed
-	}
-	return c.rig.Engine.Get(key)
-}
-
-// Contains reports whether key is cached, without recency side effects.
-func (c *Cache) Contains(key string) bool {
-	if c.closed {
-		return false
-	}
-	return c.rig.Engine.Contains(key)
-}
-
-// Delete removes key; it reports whether the key was present.
-func (c *Cache) Delete(key string) bool {
-	if c.closed {
-		return false
-	}
-	return c.rig.Engine.Delete(key)
-}
-
-// Len returns the number of cached items.
-func (c *Cache) Len() int { return c.rig.Engine.Len() }
-
-// Stats snapshots cache and device counters.
-func (c *Cache) Stats() Stats {
-	st := c.rig.Engine.Stats()
-	return Stats{
-		Scheme:             c.rig.Scheme,
-		Items:              c.rig.Engine.Len(),
-		HitRatio:           st.HitRatio,
-		Hits:               st.Hits,
-		Misses:             st.Misses,
-		Sets:               st.Sets,
-		Deletes:            st.Deletes,
-		Evictions:          st.Evictions,
-		AdmitRejects:       st.AdmitRejects,
-		WriteAmplification: c.rig.WAFactor(),
-		GetP50:             st.GetLatency.P50,
-		GetP99:             st.GetLatency.P99,
-		SimulatedTime:      st.SimulatedTime,
-	}
-}
-
-// SimulatedTime returns the virtual clock position.
-func (c *Cache) SimulatedTime() time.Duration { return c.rig.Clock.Now() }
-
-// Rig exposes the underlying scheme assembly for advanced inspection
-// (device stats, middle-layer counters). The returned value shares state
-// with the cache.
-func (c *Cache) Rig() *harness.Rig { return c.rig }
-
-// Close marks the cache closed. The simulation holds no external
-// resources; Close exists for API symmetry and use-after-close detection.
-func (c *Cache) Close() error {
-	c.closed = true
-	return nil
+	return harness.Build(rc)
 }

@@ -41,8 +41,8 @@ func TestDefaultsApplied(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open defaults: %v", err)
 	}
-	if c.rig.Scheme != RegionCache {
-		t.Fatalf("default scheme = %v", c.rig.Scheme)
+	if c.Rig(0).Scheme != RegionCache {
+		t.Fatalf("default scheme = %v", c.Rig(0).Scheme)
 	}
 	if err := c.SetSized("k", 1000); err != nil {
 		t.Fatal(err)
